@@ -46,6 +46,70 @@ bool ExtentsDrifted(const std::map<std::string, uint64_t>& hints,
   return false;
 }
 
+// The template key: strategy | adornment | canonical program whose query is
+// the abstracted one (core::AbstractQuery).
+std::string TemplateKey(const ast::Program& program,
+                        const ast::Atom& abstracted, Strategy strategy) {
+  // Canonicalization makes the key invariant under rule reordering, body
+  // reordering, and variable renaming. The abstracted query's placeholders
+  // are positional, so queries that differ only in abstracted constants
+  // share the key; the adornment and every literal constant stay in it.
+  ast::Program keyed = program;
+  keyed.set_query(abstracted);
+  std::string key = StrategyToString(strategy);
+  key += '|';
+  key += analysis::Adornment::ForQuery(abstracted).pattern();
+  key += '|';
+  key += core::CanonicalString(keyed);
+  return key;
+}
+
+// The view key: the template key plus the bound constants, so a view of
+// `t(1, Y)` never answers `t(2, Y)`. Without bound constants it is the
+// template key itself.
+std::string ViewKey(const std::string& template_key,
+                    const std::vector<ast::Term>& values) {
+  std::string key = template_key;
+  for (const ast::Term& v : values) {
+    key += '|';
+    key += v.ToString();
+  }
+  return key;
+}
+
+// Views checkpointed before plan templates were keyed by the concrete
+// program + query: strategy | adornment | canonical text. That text parses,
+// so re-derive the key and Query finds the view again. A template-era key of
+// an abstracted query carries placeholders, which never parse ('#'), and an
+// unabstracted one re-derives to itself.
+std::string RestoredViewKey(const std::string& key) {
+  const size_t first = key.find('|');
+  const size_t second =
+      first == std::string::npos ? first : key.find('|', first + 1);
+  if (second == std::string::npos || key.find('#') != std::string::npos) {
+    return key;
+  }
+  std::optional<Strategy> strategy =
+      core::StrategyFromString(key.substr(0, first));
+  Result<ast::Program> program = ast::ParseProgram(key.substr(second + 1));
+  if (!strategy.has_value() || !program.ok() ||
+      !program->query().has_value()) {
+    return key;
+  }
+  core::QueryTemplate tmpl = core::AbstractQuery(*program, *program->query());
+  return ViewKey(TemplateKey(*program, tmpl.query, *strategy), tmpl.values);
+}
+
+// Binds a template to the constants of the query that asked for it; the
+// template itself serves when nothing was abstracted into it.
+Result<std::shared_ptr<const CompiledQuery>> BindPlan(
+    std::shared_ptr<const CompiledQuery> tmpl,
+    const std::vector<ast::Term>& values) {
+  if (tmpl->placeholder_sites.empty()) return tmpl;
+  FACTLOG_ASSIGN_OR_RETURN(CompiledQuery bound, core::Bind(*tmpl, values));
+  return std::make_shared<const CompiledQuery>(std::move(bound));
+}
+
 }  // namespace
 
 // ---- EDB mutation -----------------------------------------------------------
@@ -217,17 +281,8 @@ Status Engine::LoadFacts(const std::string& text) {
 
 std::string Engine::PlanCacheKey(const ast::Program& program,
                                  const ast::Atom& query, Strategy strategy) {
-  // Canonicalization makes the key invariant under rule reordering, body
-  // reordering, and variable renaming; the query's constants (and hence its
-  // adornment) stay, so differently-bound queries get distinct plans.
-  ast::Program keyed = program;
-  keyed.set_query(query);
-  std::string key = StrategyToString(strategy);
-  key += '|';
-  key += analysis::Adornment::ForQuery(query).pattern();
-  key += '|';
-  key += core::CanonicalString(keyed);
-  return key;
+  return TemplateKey(program, core::AbstractQuery(program, query).query,
+                     strategy);
 }
 
 core::PipelineOptions Engine::PipelineOptionsForCompile(
@@ -289,12 +344,26 @@ Result<analysis::LintReport> Engine::Lint(
 Result<std::shared_ptr<const CompiledQuery>> Engine::Compile(
     const ast::Program& program, const ast::Atom& query, Strategy strategy,
     QueryStats* stats) {
-  if (!options_.enable_plan_cache) {
-    const auto start = std::chrono::steady_clock::now();
+  core::QueryTemplate tmpl = core::AbstractQuery(program, query);
+  const std::string key = options_.enable_plan_cache
+                              ? TemplateKey(program, tmpl.query, strategy)
+                              : std::string();
+  FACTLOG_ASSIGN_OR_RETURN(
+      std::shared_ptr<const CompiledQuery> plan,
+      CompileTemplate(program, query, tmpl, strategy, stats, key));
+  return BindPlan(std::move(plan), tmpl.values);
+}
+
+Result<std::shared_ptr<const CompiledQuery>> Engine::CompileTemplate(
+    const ast::Program& program, const ast::Atom& query,
+    const core::QueryTemplate& tmpl, Strategy strategy, QueryStats* stats,
+    const std::string& key, const eval::Database* hint_db) {
+  const auto start = std::chrono::steady_clock::now();
+  if (key.empty()) {
     FACTLOG_ASSIGN_OR_RETURN(
         CompiledQuery compiled,
-        core::CompileQuery(program, query, strategy,
-                           PipelineOptionsForCompile()));
+        core::CompileQuery(program, tmpl.query, strategy,
+                           PipelineOptionsForCompile(hint_db)));
     if (stats != nullptr) {
       stats->compile_us = MicrosSince(start);
       stats->lint_warnings = compiled.diagnostics.size();
@@ -303,15 +372,6 @@ Result<std::shared_ptr<const CompiledQuery>> Engine::Compile(
     ++stats_.compiles;
     return std::make_shared<const CompiledQuery>(std::move(compiled));
   }
-  return CompileWithKey(program, query, strategy, stats,
-                        PlanCacheKey(program, query, strategy));
-}
-
-Result<std::shared_ptr<const CompiledQuery>> Engine::CompileWithKey(
-    const ast::Program& program, const ast::Atom& query, Strategy strategy,
-    QueryStats* stats, const std::string& key,
-    const eval::Database* hint_db) {
-  const auto start = std::chrono::steady_clock::now();
   std::shared_ptr<InFlightCompile> flight;
   bool owner = false;
   {
@@ -365,7 +425,7 @@ Result<std::shared_ptr<const CompiledQuery>> Engine::CompileWithKey(
 
   // Single-flight owner: compile outside every lock — the pipeline is pure
   // and may be slow.
-  auto compiled = core::CompileQuery(program, query, strategy,
+  auto compiled = core::CompileQuery(program, tmpl.query, strategy,
                                      PipelineOptionsForCompile(hint_db));
   std::shared_ptr<const CompiledQuery> plan;
   if (compiled.ok()) {
@@ -385,7 +445,7 @@ Result<std::shared_ptr<const CompiledQuery>> Engine::CompileWithKey(
           lru_.pop_back();
         }
         lru_.push_front(key);
-        cache_[key] = CacheEntry{plan, lru_.begin()};
+        cache_[key] = CacheEntry{plan, program, query, lru_.begin()};
       }
     }
     inflight_.erase(key);
@@ -543,17 +603,23 @@ Result<eval::AnswerSet> Engine::Query(const ast::Program& program,
     if (!resp.status.ok()) return resp.status;
     return std::move(resp.answers);
   }
-  // A materialized view with this plan key answers without executing. The
-  // key doubles as the compile key below, so it is derived at most once.
+  // The epoch guard spans the whole query, compile included: compiling reads
+  // the database for planner hints, and a mutation that slipped in between
+  // the compile and the fixpoint would race the query all the same.
+  QueryScope scope(this);
+  // A materialized view with this view key answers without executing. The
+  // template key doubles as the compile key below, so it is derived at most
+  // once.
+  core::QueryTemplate tmpl = core::AbstractQuery(program, query);
   std::string key;
   inc::MaterializedView* view = nullptr;
   if (options_.enable_plan_cache || num_views() > 0) {
-    key = PlanCacheKey(program, query, strategy);
+    key = TemplateKey(program, tmpl.query, strategy);
   }
   {
     std::lock_guard<std::mutex> lock(view_mu_);
     if (!views_.empty()) {
-      auto it = views_.find(key);
+      auto it = views_.find(ViewKey(key, tmpl.values));
       if (it != views_.end()) view = it->second.get();
     }
   }
@@ -568,7 +634,6 @@ Result<eval::AnswerSet> Engine::Query(const ast::Program& program,
       return Status::Internal("materialized view's plan carries no query");
     }
     if (stats != nullptr) stats->view_hit = true;
-    QueryScope scope(this);
     eval::AnswerSet answers;
     {
       std::lock_guard<std::mutex> lock(view_mu_);
@@ -581,9 +646,9 @@ Result<eval::AnswerSet> Engine::Query(const ast::Program& program,
 
   FACTLOG_ASSIGN_OR_RETURN(
       std::shared_ptr<const CompiledQuery> plan,
-      options_.enable_plan_cache
-          ? CompileWithKey(program, query, strategy, stats, key)
-          : Compile(program, query, strategy, stats));
+      CompileTemplate(program, query, tmpl, strategy, stats,
+                      options_.enable_plan_cache ? key : std::string()));
+  FACTLOG_ASSIGN_OR_RETURN(plan, BindPlan(std::move(plan), tmpl.values));
   FACTLOG_ASSIGN_OR_RETURN(eval::AnswerSet answers, Execute(*plan, stats));
   RenameAnswerVars(query, &answers);
   return answers;
@@ -619,12 +684,15 @@ Result<ViewHandle> Engine::Materialize(const ast::Program& program,
     return Status::FailedPrecondition(
         "Materialize while serving; materialize views before StartServing");
   }
-  const std::string key = PlanCacheKey(program, query, strategy);
+  core::QueryTemplate tmpl = core::AbstractQuery(program, query);
+  const std::string template_key = TemplateKey(program, tmpl.query, strategy);
+  const std::string key = ViewKey(template_key, tmpl.values);
   FACTLOG_ASSIGN_OR_RETURN(
       std::shared_ptr<const CompiledQuery> plan,
-      options_.enable_plan_cache
-          ? CompileWithKey(program, query, strategy, stats, key)
-          : Compile(program, query, strategy, stats));
+      CompileTemplate(program, query, tmpl, strategy, stats,
+                      options_.enable_plan_cache ? template_key
+                                                 : std::string()));
+  FACTLOG_ASSIGN_OR_RETURN(plan, BindPlan(std::move(plan), tmpl.values));
   {
     std::lock_guard<std::mutex> lock(view_mu_);
     if (views_.count(key) > 0) return ViewHandle{key};
@@ -737,15 +805,23 @@ Result<exec::BatchResult> Engine::ExecuteBatch(
         "already multiplexes the pool) or StopServing first");
   }
   QueryScope scope(this);
+  // Compile to templates only: RunBatch prewarms once per template and
+  // binds each query's constants on the worker that evaluates it.
   exec::BatchCompileFn compile =
-      [this, &batch](size_t i, exec::ExecStats* stats)
-      -> Result<std::shared_ptr<const CompiledQuery>> {
+      [this, &batch](size_t i,
+                     exec::ExecStats* stats) -> Result<exec::BatchPlan> {
+    const BatchQuery& q = batch[i];
+    core::QueryTemplate tmpl = core::AbstractQuery(q.program, q.query);
     QueryStats qs;
-    auto plan =
-        Compile(batch[i].program, batch[i].query, batch[i].strategy, &qs);
+    auto plan = CompileTemplate(
+        q.program, q.query, tmpl, q.strategy, &qs,
+        options_.enable_plan_cache
+            ? TemplateKey(q.program, tmpl.query, q.strategy)
+            : std::string());
     stats->cache_hit = qs.cache_hit;
     stats->compile_us = qs.compile_us;
-    return plan;
+    if (!plan.ok()) return plan.status();
+    return exec::BatchPlan{std::move(plan).value(), std::move(tmpl.values)};
   };
   FACTLOG_ASSIGN_OR_RETURN(
       exec::BatchResult result,
@@ -969,12 +1045,13 @@ void Engine::ServingRead(const ast::Program& program, const ast::Atom& query,
     return;
   }
   resp->epoch = snap->epoch;
-  const std::string key = PlanCacheKey(program, query, strategy);
+  core::QueryTemplate tmpl = core::AbstractQuery(program, query);
+  const std::string key = TemplateKey(program, tmpl.query, strategy);
 
   // A frozen materialized view answers without executing, exactly like the
   // synchronous view-hit path — but from the epoch's frozen copy, so the
   // writer's concurrent maintenance never shows through.
-  auto vit = snap->views.find(key);
+  auto vit = snap->views.find(ViewKey(key, tmpl.values));
   if (vit != snap->views.end()) {
     resp->view_hit = true;
     {
@@ -998,8 +1075,10 @@ void Engine::ServingRead(const ast::Program& program, const ast::Atom& query,
   // parallel fixpoint is wrong here: serving already runs many queries
   // concurrently, one worker per query.
   QueryStats qs;
-  Result<std::shared_ptr<const CompiledQuery>> plan =
-      CompileWithKey(program, query, strategy, &qs, key, snap->db.get());
+  Result<std::shared_ptr<const CompiledQuery>> plan = CompileTemplate(
+      program, query, tmpl, strategy, &qs,
+      options_.enable_plan_cache ? key : std::string(), snap->db.get());
+  if (plan.ok()) plan = BindPlan(std::move(plan).value(), tmpl.values);
   if (!plan.ok()) {
     resp->status = plan.status();
     return;
@@ -1150,7 +1229,7 @@ Status Engine::RestoreFromCheckpoint() {
         inc::MaterializedView::Restore(vprog, &db_, MakeIncOptions(), preds));
     {
       std::lock_guard<std::mutex> lock(view_mu_);
-      views_.emplace(vd.key, std::move(view));
+      views_.emplace(RestoredViewKey(vd.key), std::move(view));
     }
     ++views_restored_;
   }
@@ -1179,7 +1258,9 @@ Status Engine::RestoreFromCheckpoint() {
 
   // Cached plans: drop entries whose costed extents drifted past the
   // threshold (they recompile lazily against fresh sizes on next use);
-  // warm-recompile the rest under their original cache keys.
+  // warm-recompile the rest from their persisted representative program and
+  // query. Compile re-derives the template key, so the persisted cache_key —
+  // of any format — is never trusted.
   for (const storage::PlanDescriptor& pd : meta.plans) {
     if (ExtentsDrifted(pd.extent_hints, db_)) {
       ++plans_dropped_stale_;
@@ -1194,8 +1275,8 @@ Status Engine::RestoreFromCheckpoint() {
       ++plans_dropped_stale_;
       continue;
     }
-    Result<std::shared_ptr<const CompiledQuery>> plan = CompileWithKey(
-        *prog, *qprog->query(), *strat, nullptr, pd.cache_key);
+    Result<std::shared_ptr<const CompiledQuery>> plan =
+        Compile(*prog, *qprog->query(), *strat);
     if (plan.ok()) {
       ++plans_restored_;
     } else {
@@ -1343,16 +1424,18 @@ Status Engine::Checkpoint() {
     }
   }
 
-  // Cached plans: source texts plus the extents they were costed against
-  // (the stale-plan guard's baseline on the next Open).
+  // Cached plans: each template's representative program and concrete
+  // query — parseable, unlike the template's placeholders — plus the extents
+  // it was costed against (the stale-plan guard's baseline on the next
+  // Open).
   {
     std::lock_guard<std::mutex> lock(mu_);
     for (const auto& [key, entry] : cache_) {
       storage::PlanDescriptor pd;
       pd.cache_key = key;
       pd.strategy = key.substr(0, key.find('|'));
-      pd.program_text = entry.plan->source.ToString();
-      pd.query_text = entry.plan->source_query.ToString();
+      pd.program_text = entry.program.ToString();
+      pd.query_text = entry.query.ToString();
       pd.extent_hints = entry.plan->planner_hints;
       meta.plans.push_back(std::move(pd));
     }

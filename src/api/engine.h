@@ -11,12 +11,14 @@
 //   auto answers = engine.Query(
 //       "t(X, Y) :- e(X, Y). t(X, Y) :- e(X, W), t(W, Y). ?- t(1, Y).");
 //
-// Plans are cached under (strategy, query adornment, canonicalized program +
-// query), so re-asking a query — or asking it with renamed variables or
-// reordered rules — reuses the compiled plan. Like Johansson's multi-prime
-// argument reduction, the expensive precomputation (classification and the
-// NP-hard factorability containments) is paid once and amortized over every
-// subsequent execution. Every compilation ends with the join-plan pass
+// Plans are cached as constant-free templates (core/query_template.h) under
+// (strategy, query adornment, canonicalized program + abstracted query), so
+// re-asking a query — with renamed variables, reordered rules, or a
+// different constant the program's rules never mention — reuses the compiled
+// template and only binds the new constant into it. Like Johansson's
+// multi-prime argument reduction, the expensive precomputation
+// (classification and the NP-hard factorability containments) is paid once
+// per query shape and amortized over every subsequent execution. Every compilation ends with the join-plan pass
 // (plan/join_plan.h), seeded with the engine's base-relation sizes; the
 // stored plan::ProgramPlan drives body order, index prewarming, and
 // parallel partitioning in all execution paths.
@@ -69,6 +71,7 @@
 #include "ast/program.h"
 #include "common/status.h"
 #include "core/pipeline.h"
+#include "core/query_template.h"
 #include "core/transform_pass.h"
 #include "eval/database.h"
 #include "eval/seminaive.h"
@@ -189,8 +192,10 @@ struct QueryStats {
 };
 
 /// Handle to a materialized view registered with an Engine. Views are keyed
-/// by the plan-cache key of the (program, query, strategy) they materialize,
-/// so a later Query with the same key answers from the view.
+/// by the plan-cache key of the (program, query, strategy) they materialize
+/// followed by the query's bound constants — a view of `t(1, Y)` is not a
+/// view of `t(2, Y)` — so a later Query with the same program, query and
+/// strategy answers from the view.
 struct ViewHandle {
   std::string key;
 };
@@ -272,8 +277,10 @@ class Engine {
 
   // ---- Compile ------------------------------------------------------------
 
-  /// Compiles (program, query) under `strategy`, consulting the plan cache.
-  /// The returned plan is shared with the cache; it is immutable. Thread-safe:
+  /// Compiles (program, query) under `strategy`, consulting the plan cache:
+  /// the query's template is compiled once and the returned plan is the
+  /// template bound to this query's constants (the template itself, shared
+  /// with the cache, when nothing was abstracted). Immutable. Thread-safe:
   /// concurrent misses on the same key collapse into one compilation
   /// (single-flight) — the first caller compiles, the rest block on the
   /// result and count as cache hits, so the NP-hard factorability containment
@@ -287,8 +294,9 @@ class Engine {
   /// Compiles and executes. Answers are the bindings of the query's distinct
   /// variables, named by *this* call's query — on a cache hit against a plan
   /// compiled from renamed variables, the columns are renamed back to the
-  /// caller's names. When a materialized view matches the plan key, answers
-  /// come from the view without executing anything.
+  /// caller's names. When a materialized view matches the view key (plan
+  /// key plus bound constants), answers come from the view without
+  /// executing anything.
   Result<eval::AnswerSet> Query(const ast::Program& program,
                                 const ast::Atom& query,
                                 Strategy strategy = Strategy::kAuto,
@@ -334,7 +342,7 @@ class Engine {
 
   /// Compiles (program, query), evaluates it once, and keeps the full IDB as
   /// a live view that AddFact/RemoveFact maintain incrementally. Later
-  /// Query calls with the same plan key answer from the view. Idempotent:
+  /// Query calls with the same view key answer from the view. Idempotent:
   /// materializing an already-live key returns the existing handle.
   Result<ViewHandle> Materialize(const ast::Program& program,
                                  const ast::Atom& query,
@@ -431,15 +439,24 @@ class Engine {
   /// checkpoints. Thread-safe (own internal lock).
   const plan::StatsCatalog& stats_catalog() const { return stats_catalog_; }
 
-  /// The cache key for (program, query, strategy): the requested strategy,
-  /// the query's adornment pattern, and the canonicalized program + query.
-  /// Exposed for tests.
+  /// The plan template key for (program, query, strategy): the requested
+  /// strategy, the query's adornment pattern, and the canonicalized program
+  /// with the query abstracted by core::AbstractQuery — atomic constants the
+  /// rules never mention become positional placeholders, while constants
+  /// the rules mention, compound arguments and variables stay literal.
+  /// Queries differing only in abstracted constants share a key. Exposed
+  /// for tests.
   static std::string PlanCacheKey(const ast::Program& program,
                                   const ast::Atom& query, Strategy strategy);
 
  private:
   struct CacheEntry {
+    /// The plan template.
     std::shared_ptr<const CompiledQuery> plan;
+    /// A parseable instance of the template — the program and concrete
+    /// query that first compiled it — which Checkpoint persists.
+    ast::Program program;
+    ast::Atom query;
     std::list<std::string>::iterator lru_pos;
   };
 
@@ -488,13 +505,15 @@ class Engine {
   /// relations map mid-mutation nor takes the epoch guard.
   core::PipelineOptions PipelineOptionsForCompile(
       const eval::Database* hint_db = nullptr) const;
-  /// Cache-enabled compilation against a precomputed plan key (so callers
-  /// that already derived the key for a view lookup don't canonicalize the
-  /// program a second time). `hint_db` as in PipelineOptionsForCompile.
-  Result<std::shared_ptr<const CompiledQuery>> CompileWithKey(
-      const ast::Program& program, const ast::Atom& query, Strategy strategy,
-      QueryStats* stats, const std::string& key,
-      const eval::Database* hint_db = nullptr);
+  /// The plan template for (program, tmpl.query): the cache entry under
+  /// `key`, or a single-flight compile inserted there on a miss. An empty
+  /// `key` compiles without caching (plan cache disabled). `query` is the
+  /// caller's concrete query, kept with a new entry as its parseable
+  /// representative. `hint_db` as in PipelineOptionsForCompile.
+  Result<std::shared_ptr<const CompiledQuery>> CompileTemplate(
+      const ast::Program& program, const ast::Atom& query,
+      const core::QueryTemplate& tmpl, Strategy strategy, QueryStats* stats,
+      const std::string& key, const eval::Database* hint_db = nullptr);
   /// AddFact/RemoveFact bodies without the epoch guard: the serving writer
   /// thread is the only mutator, so the guard is unnecessary there.
   Status AddFactImpl(const ast::Atom& fact);
@@ -563,7 +582,8 @@ class Engine {
   std::list<std::string> lru_;
   std::map<std::string, CacheEntry> cache_;
   std::map<std::string, std::shared_ptr<InFlightCompile>> inflight_;
-  /// Materialized views by plan-cache key, guarded — map structure and view
+  /// Materialized views by view key (plan-cache key plus bound constants),
+  /// guarded — map structure and view
   /// contents alike — by view_mu_. The unique_ptrs are stable, so a view
   /// located under the lock stays valid after it drops (views are only
   /// erased by DropView, which requires the usual external serialization

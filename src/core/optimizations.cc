@@ -185,6 +185,39 @@ bool DeleteDuplicateRules(ast::Program* program) {
   return rules.size() != before;
 }
 
+bool InlineQueryCopyRule(ast::Program* program, OptimizationContext* ctx) {
+  if (!program->query().has_value()) return false;
+  const Atom& query = *program->query();
+  const std::string& q = query.predicate();
+  const Rule* copy = nullptr;
+  size_t copy_index = 0;
+  for (size_t i = 0; i < program->rules().size(); ++i) {
+    const Rule& rule = program->rules()[i];
+    if (HasLiteralOf(rule.body(), q)) return false;
+    if (rule.head().predicate() != q) continue;
+    if (copy != nullptr) return false;  // q has a second definition
+    copy = &rule;
+    copy_index = i;
+  }
+  if (copy == nullptr || copy->body().size() != 1) return false;
+  const Atom& head = copy->head();
+  const Atom& body = copy->body()[0];
+  if (body.predicate() == q || body.args() != head.args() ||
+      head.arity() != query.arity()) {
+    return false;
+  }
+  std::set<std::string> vars;
+  for (const Term& t : head.args()) {
+    if (!t.IsVariable() || !vars.insert(t.var_name()).second) return false;
+  }
+  Atom repointed(body.predicate(), query.args());
+  program->mutable_rules()->erase(program->mutable_rules()->begin() +
+                                  static_cast<std::ptrdiff_t>(copy_index));
+  if (ctx != nullptr) ctx->query_pred = repointed.predicate();
+  program->set_query(std::move(repointed));
+  return true;
+}
+
 namespace {
 
 // Uniform-equivalence redundancy test: is `rule` derivable from the rest of
@@ -257,6 +290,7 @@ Result<ast::Program> OptimizeProgram(const ast::Program& program,
                                      const OptimizationContext& ctx,
                                      const OptimizeOptions& opts) {
   ast::Program out = program;
+  OptimizationContext local = ctx;
   for (int round = 0; round < 100; ++round) {
     bool changed = false;
     if (opts.apply_head_in_body) changed |= DeleteHeadInBodyRules(&out);
@@ -267,8 +301,9 @@ Result<ast::Program> OptimizeProgram(const ast::Program& program,
     }
     if (opts.apply_prop_5_3) changed |= DeleteSeedFactorLiterals(&out, ctx);
     if (opts.apply_duplicates) changed |= DeleteDuplicateRules(&out);
-    if (opts.apply_unreachable && !ctx.query_pred.empty()) {
-      changed |= DeleteUnreachableRules(&out, ctx.query_pred);
+    changed |= InlineQueryCopyRule(&out, &local);
+    if (opts.apply_unreachable && !local.query_pred.empty()) {
+      changed |= DeleteUnreachableRules(&out, local.query_pred);
     }
     if (opts.apply_uniform_equivalence) {
       FACTLOG_ASSIGN_OR_RETURN(bool ue_changed,

@@ -13,6 +13,10 @@
 //   * Proposition 5.4: delete rules whose head appears in their body, and
 //     rules unreachable from the query.
 //   * Proposition 5.5: anonymize variables occurring only once in a rule.
+//   * Query copy rule: when the query predicate is defined only by
+//     `q(V̄) :- p(V̄)` (factoring's `query(Y) :- ft(Y)` once Prop 5.3 has
+//     dropped `bt(5)`), ask p directly and delete the rule, so the answers
+//     are not derived a second time.
 //   * Uniform-equivalence rule deletion [13]: a rule is redundant when the
 //     remaining program derives its frozen head from its frozen body.
 //
@@ -94,6 +98,13 @@ bool AnonymizeSingletonVariables(ast::Program* program);
 
 /// Deletes duplicate rules (equal up to variable renaming / body order).
 bool DeleteDuplicateRules(ast::Program* program);
+
+/// When the program's query predicate q is defined by exactly one rule
+/// `q(V̄) :- p(V̄)` — distinct variables, the body repeating the head's
+/// arguments in order — and q occurs in no rule body, re-points the query at
+/// p with the query's own arguments, deletes the rule, and records p as
+/// `ctx->query_pred` (the Prop 5.4b reachability root).
+bool InlineQueryCopyRule(ast::Program* program, OptimizationContext* ctx);
 
 /// Uniform-equivalence rule deletion [13] via the frozen-body chase. Rules
 /// containing builtins are skipped (conservative).

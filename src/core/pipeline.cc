@@ -2,6 +2,8 @@
 
 #include <utility>
 
+#include "core/query_template.h"
+
 namespace factlog::core {
 
 namespace {
@@ -83,6 +85,7 @@ Result<CompiledQuery> FinishCompile(TransformState&& state, Strategy strategy,
   out.source_query = std::move(state.source_query);
   out.diagnostics = std::move(state.diagnostics);
   out.trace = std::move(state.trace);
+  out.placeholder_sites = FindPlaceholderSites(out.program, out.query);
   return out;
 }
 

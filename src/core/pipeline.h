@@ -115,6 +115,9 @@ struct PipelineResult {
     return magic.program;
   }
   const ast::Atom& final_query() const {
+    if (optimized.has_value() && optimized->query().has_value()) {
+      return *optimized->query();
+    }
     return factored.has_value() ? factored->query : magic.query;
   }
 };

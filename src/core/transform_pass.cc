@@ -77,6 +77,10 @@ const ast::Program& TransformState::final_program() const {
 }
 
 const ast::Atom& TransformState::final_query() const {
+  // The §5 cleanups may re-point the query (InlineQueryCopyRule).
+  if (optimized.has_value() && optimized->query().has_value()) {
+    return *optimized->query();
+  }
   if (factored.has_value()) return factored->query;
   if (counting.has_value()) return counting->query;
   if (linear.has_value()) return linear->query;
@@ -683,6 +687,12 @@ std::unique_ptr<Transform> MakeDuplicateRulePass() {
         return DeleteDuplicateRules(&*s.optimized);
       });
 }
+std::unique_ptr<Transform> MakeQueryCopyPass() {
+  return std::make_unique<CleanupPass>(
+      "query-copy-rule", [](TransformState& s) -> Result<bool> {
+        return InlineQueryCopyRule(&*s.optimized, &s.opt_ctx);
+      });
+}
 std::unique_ptr<Transform> MakeUnreachablePass() {
   return std::make_unique<CleanupPass>(
       "prop-5.4-unreachable", [](TransformState& s) -> Result<bool> {
@@ -746,6 +756,7 @@ std::unique_ptr<Transform> MakeSectionFiveFixpointPass(
   if (opts.apply_prop_5_2) children.push_back(MakeAnonymousFactorPass());
   if (opts.apply_prop_5_3) children.push_back(MakeSeedFactorPass());
   if (opts.apply_duplicates) children.push_back(MakeDuplicateRulePass());
+  children.push_back(MakeQueryCopyPass());
   if (opts.apply_unreachable) children.push_back(MakeUnreachablePass());
   if (opts.apply_uniform_equivalence) {
     children.push_back(MakeUniformEquivalencePass(opts));

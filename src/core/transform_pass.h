@@ -225,6 +225,7 @@ std::unique_ptr<Transform> MakeAnonymizePass();           // Prop 5.5
 std::unique_ptr<Transform> MakeAnonymousFactorPass();     // Prop 5.2
 std::unique_ptr<Transform> MakeSeedFactorPass();          // Prop 5.3
 std::unique_ptr<Transform> MakeDuplicateRulePass();
+std::unique_ptr<Transform> MakeQueryCopyPass();         // query copy rule
 std::unique_ptr<Transform> MakeUnreachablePass();         // Prop 5.4b
 std::unique_ptr<Transform> MakeUniformEquivalencePass(OptimizeOptions opts);
 
@@ -244,6 +245,15 @@ std::unique_ptr<Transform> MakeJoinPlanPass(plan::PlanOptions opts = {});
 /// The full §5 cleanup fixpoint in the order OptimizeProgram used.
 std::unique_ptr<Transform> MakeSectionFiveFixpointPass(
     const OptimizeOptions& opts);
+
+/// Where a query-constant placeholder (core/query_template.h) landed in a
+/// compiled program: argument `arg` of body literal `literal` (-1: the head)
+/// of rule `rule` (-1: the query atom).
+struct PlaceholderSite {
+  int rule = -1;
+  int literal = -1;
+  int arg = 0;
+};
 
 /// The unified compilation artifact: the executable program plus everything
 /// needed to run, cache, and explain it.
@@ -279,6 +289,12 @@ struct CompiledQuery {
   std::vector<Diagnostic> diagnostics;
   /// Structured per-pass trace with timings and rule counts.
   std::vector<PassTraceEntry> trace;
+  /// Every placeholder occurrence in `program` and `query` when the plan
+  /// was compiled from an abstracted query — a plan template. core::Bind
+  /// writes the caller's constants there; empty for a plan without
+  /// placeholders. `source`, `source_query` and `trace` keep describing the
+  /// template.
+  std::vector<PlaceholderSite> placeholder_sites;
 };
 
 }  // namespace factlog::core

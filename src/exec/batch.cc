@@ -6,6 +6,7 @@
 #include <set>
 #include <utility>
 
+#include "core/query_template.h"
 #include "eval/rule_eval.h"
 
 namespace factlog::exec {
@@ -84,9 +85,9 @@ Result<BatchResult> RunBatch(ThreadPool* pool, eval::Database* db,
   result.summary.threads = pool == nullptr ? 0 : pool->num_threads();
 
   // Phase 1: compile every query on the pool. The compile callback is
-  // responsible for its own synchronization (the engine's plan cache mutex);
-  // identical queries racing to a cold cache at worst compile twice.
-  std::vector<std::shared_ptr<const core::CompiledQuery>> plans(num_queries);
+  // responsible for its own synchronization (the engine's plan cache mutex
+  // and single-flight compiles).
+  std::vector<BatchPlan> plans(num_queries);
   auto compile_one = [&](size_t i) {
     auto plan = compile(i, &result.stats[i]);
     if (plan.ok()) {
@@ -107,7 +108,9 @@ Result<BatchResult> RunBatch(ThreadPool* pool, eval::Database* db,
   // the base-relation indices that plan declares, so the execute phase
   // stays on the const read path. Prewarm and evaluation must use the SAME
   // plan: a mismatch would silently degrade shared-EDB probes to full
-  // scans. Plans are shared via the cache, so each one resolves once.
+  // scans. Templates are shared via the cache, so each one resolves once;
+  // binding changes no rule, literal or ground position, so the template's
+  // plan and indices serve every query bound from it.
   eval::EvalOptions exec_opts = eval_options;
   exec_opts.strategy = eval::Strategy::kSemiNaive;
   exec_opts.track_provenance = false;
@@ -115,32 +118,40 @@ Result<BatchResult> RunBatch(ThreadPool* pool, eval::Database* db,
   std::map<const core::CompiledQuery*, std::unique_ptr<plan::ProgramPlan>>
       resolved_plans;
   for (size_t i = 0; i < num_queries; ++i) {
-    if (plans[i] == nullptr) continue;
-    auto [it, inserted] = resolved_plans.try_emplace(plans[i].get());
+    const core::CompiledQuery* tmpl = plans[i].plan.get();
+    if (tmpl == nullptr) continue;
+    auto [it, inserted] = resolved_plans.try_emplace(tmpl);
     if (!inserted) continue;
     eval::EvalOptions resolve_opts = exec_opts;
-    resolve_opts.program_plan = &plans[i]->plans;
+    resolve_opts.program_plan = &tmpl->plans;
     it->second = std::make_unique<plan::ProgramPlan>(
-        eval::PlanForEvaluation(plans[i]->program, *db, resolve_opts));
-    Status warmed = PrewarmFromPlan(plans[i]->program, *it->second,
-                                    &plans[i]->query, db);
+        eval::PlanForEvaluation(tmpl->program, *db, resolve_opts));
+    Status warmed = PrewarmFromPlan(tmpl->program, *it->second, &tmpl->query,
+                                    db);
     if (!warmed.ok()) {
       result.stats[i].status = warmed;
-      plans[i] = nullptr;
+      plans[i].plan = nullptr;
     }
   }
 
-  // Phase 3: evaluate concurrently. Each query gets private IDB state; the
-  // shared EDB is read-only and the ValueStore interns under its own mutex.
+  // Phase 3: bind and evaluate concurrently. Each query gets private IDB
+  // state; the shared EDB is read-only and the ValueStore interns under its
+  // own mutex.
   auto execute_one = [&](size_t i) {
-    if (plans[i] == nullptr) return;
+    const core::CompiledQuery* tmpl = plans[i].plan.get();
+    if (tmpl == nullptr) return;
     const auto start = std::chrono::steady_clock::now();
+    Result<core::CompiledQuery> bound = core::Bind(*tmpl, plans[i].values);
+    if (!bound.ok()) {
+      result.stats[i].status = bound.status();
+      return;
+    }
     eval::EvalStats eval_stats;
     // Evaluate with the exact plan the prewarm phase built indices for
     // (resolved_plans outlives the parallel region).
     eval::EvalOptions query_opts = exec_opts;
-    query_opts.program_plan = resolved_plans.at(plans[i].get()).get();
-    auto answers = eval::EvaluateQuery(plans[i]->program, plans[i]->query, db,
+    query_opts.program_plan = resolved_plans.at(tmpl).get();
+    auto answers = eval::EvaluateQuery(bound->program, bound->query, db,
                                        query_opts, &eval_stats);
     result.stats[i].execute_us = MicrosSince(start);
     result.stats[i].iterations = eval_stats.iterations;

@@ -6,14 +6,17 @@
 // extended across threads:
 //
 //   1. Compile phase (on the pool): every query is compiled through the
-//      caller-supplied compile callback — in practice api::Engine::Compile,
-//      whose plan cache is mutex-guarded, so concurrent workers share plans.
+//      caller-supplied compile callback to a plan template plus its bound
+//      constants — in practice api::Engine's template compile, whose plan
+//      cache is mutex-guarded, so concurrent workers share templates.
 //   2. Prewarm phase (control thread): PrewarmIndexes builds every hash
-//      index the compiled programs will probe on the base relations.
-//   3. Execute phase (on the pool): each query runs the sequential
-//      semi-naive evaluator with EvalOptions::shared_edb set — private IDB
-//      state per query, strictly read-only base relations, and a ValueStore
-//      whose interning is thread-safe.
+//      index the distinct templates will probe on the base relations, once
+//      per template.
+//   3. Execute phase (on the pool): each query binds its constants into its
+//      template and runs the sequential semi-naive evaluator with
+//      EvalOptions::shared_edb set — private IDB state per query, strictly
+//      read-only base relations, and a ValueStore whose interning is
+//      thread-safe.
 //
 // Per-query ExecStats and a wall-clock BatchSummary come back index-aligned
 // with the requests.
@@ -83,11 +86,19 @@ Status PrewarmIndexes(const core::CompiledQuery& plan, eval::Database* db);
 Status PrewarmIndexes(const ast::Program& program, const ast::Atom* query,
                       eval::Database* db);
 
+/// A compiled batch query: the plan template it resolved to and the
+/// constants that bind it (core/query_template.h). Queries sharing a
+/// template share its join-plan resolution and index prewarm; each binds its
+/// own values before it evaluates.
+struct BatchPlan {
+  std::shared_ptr<const core::CompiledQuery> plan;
+  std::vector<ast::Term> values;
+};
+
 /// Compiles query `index`, filling cache_hit/compile_us of the stats. Must
-/// be thread-safe (api::Engine::Compile is).
+/// be thread-safe (api::Engine's template compile is).
 using BatchCompileFn =
-    std::function<Result<std::shared_ptr<const core::CompiledQuery>>(
-        size_t index, ExecStats* stats)>;
+    std::function<Result<BatchPlan>(size_t index, ExecStats* stats)>;
 
 /// Runs `num_queries` queries concurrently on `pool` (nullptr = inline)
 /// against `db`, whose base relations must not be mutated for the duration.

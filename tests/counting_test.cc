@@ -124,8 +124,9 @@ TEST(CountingTest, CombinedRulesRejected) {
 
 TEST(CountingTest, Theorem64IndexDeletionYieldsFactoredProgram) {
   // The paper's §6.4 worked example: two right-linear rules. After deleting
-  // index fields and trivially redundant rules, the Counting program is the
-  // factored Magic program up to predicate renaming.
+  // index fields and trivially redundant rules — and the query copy rule the
+  // §5 cleanups also drop — the Counting program is the factored Magic
+  // program up to predicate renaming.
   ast::Program p = P(R"(
     t(X, Y) :- first1(X, U), t(U, Y), right1(Y).
     t(X, Y) :- first2(X, U), t(U, Y), right2(Y).
@@ -139,6 +140,7 @@ TEST(CountingTest, Theorem64IndexDeletionYieldsFactoredProgram) {
   core::DeleteHeadInBodyRules(&stripped);
   core::DeleteDuplicateRules(&stripped);
   core::DeleteUnreachableRules(&stripped, counting->query_name);
+  core::InlineQueryCopyRule(&stripped, nullptr);
 
   auto pipe = core::OptimizeQuery(p, *p.query());
   ASSERT_TRUE(pipe.ok());
@@ -161,6 +163,7 @@ TEST(CountingTest, Theorem64OnPlainRightLinearTc) {
   core::DeleteHeadInBodyRules(&stripped);
   core::DeleteDuplicateRules(&stripped);
   core::DeleteUnreachableRules(&stripped, counting->query_name);
+  core::InlineQueryCopyRule(&stripped, nullptr);
   auto pipe = core::OptimizeQuery(p, *p.query());
   ASSERT_TRUE(pipe.ok());
   std::map<std::string, std::string> renames = {

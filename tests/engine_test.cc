@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <functional>
+#include <iterator>
 #include <map>
 #include <string>
 #include <thread>
@@ -156,6 +157,103 @@ TEST(EngineSweepTest, ListMembershipStrategiesAgree) {
   }
 }
 
+// ---- Template binding sweep ------------------------------------------------
+//
+// Every program of the sweep, asked with several constants under every
+// strategy, in both execution modes, at 1/8 shards x 0/2 threads: each
+// strategy compiles its template once and every bound answer equals the
+// unoptimized source program's. Partial strategies may refuse the program
+// or run out of budget, as in AllApplicableStrategiesAgree; top-down runs
+// of left-recursive plans diverge into the SLD budget the same way, so the
+// sweep adds a nonrecursive program whose plans SLD does answer.
+
+const ProgramSpec kTwoHopChain = {
+    "two_hop_chain", "hop2(X, Y) :- e(X, W), e(W, Y). ?- hop2(1, Y).",
+    "hop2(1, Y)", LoadChain};
+
+const ProgramSpec& TemplateSweepSpec(int index) {
+  constexpr int kNumSweep = static_cast<int>(std::size(kSweep));
+  return index < kNumSweep ? kSweep[index] : kTwoHopChain;
+}
+
+class TemplateSweepTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(TemplateSweepTest, BoundTemplatesMatchSourceProgram) {
+  const ProgramSpec& spec = TemplateSweepSpec(GetParam());
+  ast::Program program = P(spec.program);
+  const ast::Atom shape = A(spec.query);
+  const int64_t constants[] = {1, 2, 5, 9, 999};
+
+  // The reference answers: the source program, evaluated bottom-up.
+  eval::Database ref_db;
+  spec.load(&ref_db);
+  std::map<int64_t, std::string> expected;
+  std::map<int64_t, ast::Atom> queries;
+  for (int64_t c : constants) {
+    ast::Atom q = shape;
+    (*q.mutable_args())[0] = ast::Term::Int(c);
+    auto reference = eval::EvaluateQuery(program, q, &ref_db);
+    ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+    expected[c] = reference->ToString(ref_db.store());
+    queries.emplace(c, std::move(q));
+  }
+
+  std::vector<Strategy> strategies = core::AllConcreteStrategies();
+  strategies.insert(strategies.begin(), Strategy::kAuto);
+  std::map<ExecutionMode, size_t> answered;
+  for (ExecutionMode mode : {ExecutionMode::kBottomUp,
+                             ExecutionMode::kTopDown}) {
+    for (size_t shards : {size_t{1}, size_t{8}}) {
+      for (size_t threads : {size_t{0}, size_t{2}}) {
+        EngineOptions options;
+        options.execution = mode;
+        options.num_shards = shards;
+        options.num_threads = threads;
+        options.eval.max_facts = 5'000;
+        options.sld.max_depth = 64;
+        options.sld.max_inferences = 5'000;
+        Engine engine(options);
+        spec.load(&engine.db());
+        for (Strategy s : strategies) {
+          const std::string where =
+              std::string(spec.name) + " / " + core::StrategyToString(s) +
+              (mode == ExecutionMode::kTopDown ? " / top-down" : "") + " @" +
+              std::to_string(shards) + " shards, " +
+              std::to_string(threads) + " threads";
+          const uint64_t compiles_before = engine.stats().compiles;
+          for (int64_t c : constants) {
+            auto answers = engine.Query(program, queries.at(c), s);
+            if (!answers.ok()) {
+              const StatusCode code = answers.status().code();
+              EXPECT_TRUE(code == StatusCode::kFailedPrecondition ||
+                          code == StatusCode::kResourceExhausted)
+                  << where << " c=" << c << ": "
+                  << answers.status().ToString();
+              continue;
+            }
+            EXPECT_EQ(answers->ToString(engine.db().store()), expected[c])
+                << where << " c=" << c;
+            ++answered[mode];
+          }
+          EXPECT_LE(engine.stats().compiles - compiles_before, 1u) << where;
+        }
+      }
+    }
+  }
+  // Not vacuous: bottom-up answers every program, SLD the nonrecursive one.
+  EXPECT_GT(answered[ExecutionMode::kBottomUp], 0u);
+  if (&spec == &kTwoHopChain) {
+    EXPECT_GT(answered[ExecutionMode::kTopDown], 0u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllPrograms, TemplateSweepTest,
+                         ::testing::Range(0, 7),
+                         [](const ::testing::TestParamInfo<int>& info) {
+                           return std::string(
+                               TemplateSweepSpec(info.param).name);
+                         });
+
 // ---- Auto strategy selection -----------------------------------------------
 
 TEST(EngineAutoTest, FactorsWhenTheoremConditionsHold) {
@@ -298,19 +396,125 @@ TEST(EnginePlanCacheTest, KeyIsCanonical) {
   EXPECT_EQ(engine.stats().compiles, 1u);
 }
 
-TEST(EnginePlanCacheTest, DifferentConstantsAreDifferentPlans) {
-  // The compiled plan bakes the query constant into the magic seed, so a
-  // differently-bound query must recompile — and must answer correctly.
+TEST(EnginePlanCacheTest, DifferentConstantsShareOneTemplate) {
+  // The query constant only lands in the magic seed, so t(1, Y) and t(5, Y)
+  // share one compiled template; each binds its own constant and answers
+  // correctly.
   Engine engine;
   for (int i = 1; i < 8; ++i) engine.AddPair("e", i, i + 1);
   ast::Program p = P(kRightTc);
+  QueryStats second;
   auto from1 = engine.Query(p, A("t(1, Y)"), Strategy::kAuto);
-  auto from5 = engine.Query(p, A("t(5, Y)"), Strategy::kAuto);
+  auto from5 = engine.Query(p, A("t(5, Y)"), Strategy::kAuto, &second);
   ASSERT_TRUE(from1.ok());
   ASSERT_TRUE(from5.ok());
-  EXPECT_EQ(engine.stats().compiles, 2u);
+  EXPECT_EQ(engine.stats().compiles, 1u);
+  EXPECT_TRUE(second.cache_hit);
   EXPECT_EQ(from1->rows.size(), 7u);
   EXPECT_EQ(from5->rows.size(), 3u);
+  EXPECT_EQ(Engine::PlanCacheKey(p, A("t(1, Y)"), Strategy::kAuto),
+            Engine::PlanCacheKey(p, A("t(5, Y)"), Strategy::kAuto));
+}
+
+TEST(EnginePlanCacheTest, ConstantInRulesKeepsALiteralKey) {
+  // 3 occurs in a rule head, so ?- t(3, Y) may specialize on it: it keeps
+  // its own literal key, while constants the rules never mention share a
+  // template.
+  Engine engine;
+  for (int i = 1; i < 8; ++i) engine.AddPair("e", i, i + 1);
+  engine.AddUnit("s", 42);
+  ast::Program p = P(
+      "t(X, Y) :- e(X, Y). t(X, Y) :- e(X, W), t(W, Y). t(3, Y) :- s(Y).");
+  EXPECT_NE(Engine::PlanCacheKey(p, A("t(3, Y)"), Strategy::kAuto),
+            Engine::PlanCacheKey(p, A("t(4, Y)"), Strategy::kAuto));
+  EXPECT_EQ(Engine::PlanCacheKey(p, A("t(4, Y)"), Strategy::kAuto),
+            Engine::PlanCacheKey(p, A("t(2, Y)"), Strategy::kAuto));
+  for (const char* q : {"t(3, Y)", "t(4, Y)", "t(2, Y)", "t(3, Y)"}) {
+    auto answers = engine.Query(p, A(q), Strategy::kAuto);
+    ASSERT_TRUE(answers.ok()) << q << ": " << answers.status().ToString();
+    auto expected = eval::EvaluateQuery(p, A(q), &engine.db());
+    ASSERT_TRUE(expected.ok());
+    EXPECT_EQ(answers->ToString(engine.db().store()),
+              expected->ToString(engine.db().store()))
+        << q;
+  }
+  auto three = engine.Query(p, A("t(3, Y)"));
+  ASSERT_TRUE(three.ok());
+  EXPECT_EQ(three->rows.size(), 6u);  // 4..8 and 42
+  EXPECT_EQ(engine.stats().compiles, 2u);
+}
+
+TEST(EnginePlanCacheTest, CountingZeroIsNotTheIndexField) {
+  // Counting seeds its index field with the constant 0. A query constant 0
+  // binds only the placeholder's sites, never the generated counter.
+  Engine engine;
+  for (int i = 0; i < 6; ++i) engine.AddPair("e", i, i + 1);
+  ast::Program p = P(kRightTc);
+  ASSERT_TRUE(engine.Query(p, A("t(3, Y)"), Strategy::kCounting).ok());
+  for (const char* q : {"t(0, Y)", "t(1, Y)", "t(6, Y)"}) {
+    QueryStats stats;
+    auto answers = engine.Query(p, A(q), Strategy::kCounting, &stats);
+    ASSERT_TRUE(answers.ok()) << q << ": " << answers.status().ToString();
+    EXPECT_TRUE(stats.cache_hit) << q;
+    auto expected = eval::EvaluateQuery(p, A(q), &engine.db());
+    ASSERT_TRUE(expected.ok());
+    EXPECT_EQ(answers->ToString(engine.db().store()),
+              expected->ToString(engine.db().store()))
+        << q;
+  }
+  auto zero = engine.Query(p, A("t(0, Y)"), Strategy::kCounting);
+  ASSERT_TRUE(zero.ok());
+  EXPECT_EQ(zero->rows.size(), 6u);
+  EXPECT_EQ(engine.stats().compiles, 1u);
+}
+
+TEST(EnginePlanCacheTest, GroundCompoundArgumentStaysLiteral) {
+  // List programs: a ground compound query argument is part of the key, so
+  // two different lists compile two plans — each answering correctly.
+  Engine engine;
+  for (int i = 1; i <= 4; ++i) engine.AddUnit("p", i * 2);
+  ast::Program p = P(
+      "pmem(X, [X | T]) :- p(X). pmem(X, [H | T]) :- pmem(X, T).");
+  const char* lists[] = {"pmem(X, [1, 2, 3, 4])", "pmem(X, [4, 5, 6, 8])",
+                         "pmem(X, [1, 2, 3, 4])"};
+  EXPECT_NE(Engine::PlanCacheKey(p, A(lists[0]), Strategy::kAuto),
+            Engine::PlanCacheKey(p, A(lists[1]), Strategy::kAuto));
+  const size_t expected_rows[] = {2, 3, 2};
+  for (size_t i = 0; i < 3; ++i) {
+    auto answers = engine.Query(p, A(lists[i]), Strategy::kAuto);
+    ASSERT_TRUE(answers.ok()) << answers.status().ToString();
+    EXPECT_EQ(answers->rows.size(), expected_rows[i]) << lists[i];
+  }
+  EXPECT_EQ(engine.stats().compiles, 2u);
+  EXPECT_EQ(engine.stats().cache_hits, 1u);
+}
+
+TEST(EnginePlanCacheTest, ViewOfOneConstantNeverAnswersAnother) {
+  // t(1, Y) and t(2, Y) share a plan template, but not a view: the view key
+  // carries the bound constant. Checked synchronously and while serving.
+  for (bool serve : {false, true}) {
+    SCOPED_TRACE(serve ? "serving" : "synchronous");
+    EngineOptions options;
+    options.num_threads = serve ? 1 : 0;
+    Engine engine(options);
+    for (int i = 1; i < 8; ++i) engine.AddPair("e", i, i + 1);
+    ast::Program p = P(kRightTc);
+    ASSERT_TRUE(engine.Materialize(p, A("t(1, Y)")).ok());
+    if (serve) {
+      ASSERT_TRUE(engine.StartServing().ok());
+    }
+    QueryStats other, same;
+    auto from2 = engine.Query(p, A("t(2, Y)"), Strategy::kAuto, &other);
+    ASSERT_TRUE(from2.ok()) << from2.status().ToString();
+    EXPECT_FALSE(other.view_hit);
+    EXPECT_EQ(from2->rows.size(), 6u);
+    auto from1 = engine.Query(p, A("t(1, Y)"), Strategy::kAuto, &same);
+    ASSERT_TRUE(from1.ok()) << from1.status().ToString();
+    EXPECT_TRUE(same.view_hit);
+    EXPECT_EQ(from1->rows.size(), 7u);
+    EXPECT_EQ(engine.stats().compiles, 1u);
+    ASSERT_TRUE(engine.StopServing().ok());
+  }
 }
 
 TEST(EnginePlanCacheTest, StrategiesAreCachedSeparately) {
@@ -325,23 +529,24 @@ TEST(EnginePlanCacheTest, StrategiesAreCachedSeparately) {
 }
 
 TEST(EnginePlanCacheTest, LruEviction) {
+  // Three templates: the bf, fb and ff adornments of one program.
   EngineOptions options;
   options.plan_cache_capacity = 2;
   Engine engine(options);
   for (int i = 1; i < 8; ++i) engine.AddPair("e", i, i + 1);
   ast::Program p = P(kRightTc);
   ASSERT_TRUE(engine.Query(p, A("t(1, Y)")).ok());
-  ASSERT_TRUE(engine.Query(p, A("t(2, Y)")).ok());
-  // Touch t(1, Y): it becomes the most recently used entry.
-  ASSERT_TRUE(engine.Query(p, A("t(1, Y)")).ok());
-  // A third plan evicts t(2, Y), not t(1, Y).
-  ASSERT_TRUE(engine.Query(p, A("t(3, Y)")).ok());
+  ASSERT_TRUE(engine.Query(p, A("t(X, 2)")).ok());
+  // Touch the bf template: it becomes the most recently used entry.
+  ASSERT_TRUE(engine.Query(p, A("t(4, Y)")).ok());
+  // A third template evicts fb, not bf.
+  ASSERT_TRUE(engine.Query(p, A("t(X, Y)")).ok());
   EXPECT_EQ(engine.plan_cache_size(), 2u);
   QueryStats stats;
-  ASSERT_TRUE(engine.Query(p, A("t(1, Y)"), Strategy::kAuto, &stats).ok());
+  ASSERT_TRUE(engine.Query(p, A("t(2, Y)"), Strategy::kAuto, &stats).ok());
   EXPECT_TRUE(stats.cache_hit);
   QueryStats stats2;
-  ASSERT_TRUE(engine.Query(p, A("t(2, Y)"), Strategy::kAuto, &stats2).ok());
+  ASSERT_TRUE(engine.Query(p, A("t(X, 5)"), Strategy::kAuto, &stats2).ok());
   EXPECT_FALSE(stats2.cache_hit);  // was evicted
 }
 

@@ -393,13 +393,46 @@ TEST(ExecuteBatchTest, BatchAnswersMatchOneAtATimeQueries) {
     EXPECT_EQ(batch->stats[i].num_answers, expected->size());
   }
 
-  // Every Compile call either hits the shared cache or compiles; with 8
-  // distinct plans, almost all of the 64 calls must be hits (concurrent
-  // cold-cache misses may compile a plan more than once).
+  // Every compile either hits the shared cache or compiles; with 7
+  // distinct templates (t(1, Y) and t(2, Y) share one), almost all of the 64
+  // calls must be hits.
   auto stats = engine.stats();
   EXPECT_EQ(stats.batches, 1u);
   EXPECT_EQ(stats.cache_hits + stats.compiles, texts.size());
   EXPECT_GE(stats.cache_hits, texts.size() - 4 * 8);
+}
+
+TEST(ExecuteBatchTest, OneTemplateBindsManyConstants) {
+  // One query shape, many constants: the batch compiles a single template
+  // (single-flight across the workers), prewarms it once, and binds each
+  // query's constant on the worker that evaluates it.
+  const std::string program =
+      "t(X, Y) :- e(X, Y). t(X, Y) :- e(X, W), t(W, Y). ";
+  std::vector<std::string> texts;
+  for (int c = 0; c < 32; ++c) {
+    texts.push_back(program + "?- t(" + std::to_string(c % 20) + ", Y).");
+  }
+  api::Engine oracle;
+  workload::MakeGrid(4, 4, "e", &oracle.db());
+  for (size_t threads : {size_t{0}, size_t{2}, size_t{8}}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    api::EngineOptions opts;
+    opts.num_threads = threads;
+    api::Engine engine(opts);
+    workload::MakeGrid(4, 4, "e", &engine.db());
+    auto batch = engine.ExecuteBatch(texts);
+    ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+    EXPECT_EQ(batch->summary.failed, 0u);
+    EXPECT_EQ(engine.stats().compiles, 1u);
+    EXPECT_EQ(engine.stats().cache_hits, texts.size() - 1);
+    for (size_t i = 0; i < texts.size(); ++i) {
+      auto expected = oracle.Query(texts[i]);
+      ASSERT_TRUE(expected.ok());
+      EXPECT_EQ(batch->answers[i].ToString(engine.db().store()),
+                expected->ToString(oracle.db().store()))
+          << texts[i];
+    }
+  }
 }
 
 TEST(ExecuteBatchTest, StressPlanCacheWithEvictions) {

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "api/engine.h"
+#include "core/canonical.h"
 #include "eval/relation.h"
 #include "storage/buffer_pool.h"
 #include "storage/log_records.h"
@@ -422,6 +423,82 @@ TEST(EnginePersistence, PlansRestoredAndStaleOnesDropped) {
                             &qs);
   ASSERT_TRUE(a.ok()) << a.status().ToString();
   EXPECT_TRUE(qs.cache_hit);
+}
+
+TEST(EnginePersistence, PlanTemplateServesNewConstantsAfterReopen) {
+  // The checkpoint persists the template's representative query (parseable,
+  // unlike its placeholders); the reopened engine re-derives the template
+  // key, so a constant it has never seen is a cache hit.
+  ScratchDir dir("templates");
+  const ast::Program prog =
+      P("t(X, Y) :- e(X, Y). t(X, Y) :- e(X, W), t(W, Y).");
+  {
+    auto engine = api::Engine::Open(dir.path());
+    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+    ASSERT_TRUE((*engine)->LoadFacts("e(1, 2). e(2, 3). e(3, 4). e(4, 5).")
+                    .ok());
+    ASSERT_TRUE((*engine)->Query(prog, A("t(1, Y)")).ok());
+    ASSERT_TRUE((*engine)->Checkpoint().ok());
+  }
+  auto engine = api::Engine::Open(dir.path());
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  EXPECT_GE((*engine)->persistence_stats().plans_restored, 1u);
+  EXPECT_EQ((*engine)->persistence_stats().plans_dropped_stale, 0u);
+  api::QueryStats qs;
+  auto a = (*engine)->Query(prog, A("t(3, Y)"), api::Strategy::kAuto, &qs);
+  ASSERT_TRUE(a.ok()) << a.status().ToString();
+  EXPECT_TRUE(qs.cache_hit);
+  EXPECT_EQ(Tuples(*a, (*engine)->db().store()),
+            (std::set<std::string>{"(4)", "(5)"}));
+}
+
+TEST(EnginePersistence, CheckpointsWithConcreteKeysStillOpen) {
+  // Checkpoints written before plan templates keyed views and plans by the
+  // concrete program + query. Such a checkpoint opens: plans recompile from
+  // their texts under template keys, and the view is found again by Query.
+  ScratchDir dir("old_keys");
+  const ast::Program prog =
+      P("t(X, Y) :- e(X, Y). t(X, Y) :- e(X, W), t(W, Y).");
+  auto concrete_key = [&](const char* query) {
+    ast::Program keyed = prog;
+    keyed.set_query(A(query));
+    return std::string("auto|bf|") + core::CanonicalString(keyed);
+  };
+  {
+    auto engine = api::Engine::Open(dir.path());
+    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+    ASSERT_TRUE((*engine)->LoadFacts("e(1, 2). e(2, 3). e(3, 4).").ok());
+    ASSERT_TRUE((*engine)->Materialize(prog, A("t(1, Y)")).ok());
+    ASSERT_TRUE((*engine)->Checkpoint().ok());
+  }
+  {
+    StorageManager::Options sopts;
+    sopts.dir = dir.path();
+    auto manager = StorageManager::Open(sopts);
+    ASSERT_TRUE(manager.ok()) << manager.status().ToString();
+    CheckpointMeta meta = (*manager)->recovered_meta();
+    ASSERT_EQ(meta.views.size(), 1u);
+    ASSERT_EQ(meta.plans.size(), 1u);
+    meta.views[0].key = concrete_key("t(1, Y)");
+    meta.plans[0].cache_key = concrete_key("t(1, Y)");
+    ASSERT_TRUE((*manager)->Checkpoint(std::move(meta)).ok());
+  }
+  auto engine = api::Engine::Open(dir.path());
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  EXPECT_EQ((*engine)->persistence_stats().views_restored, 1u);
+  EXPECT_EQ((*engine)->persistence_stats().plans_restored, 1u);
+  api::QueryStats from_view, fresh;
+  auto a = (*engine)->Query(prog, A("t(1, Y)"), api::Strategy::kAuto,
+                            &from_view);
+  ASSERT_TRUE(a.ok()) << a.status().ToString();
+  EXPECT_TRUE(from_view.view_hit);
+  EXPECT_EQ(Tuples(*a, (*engine)->db().store()),
+            (std::set<std::string>{"(2)", "(3)", "(4)"}));
+  auto b = (*engine)->Query(prog, A("t(2, Y)"), api::Strategy::kAuto, &fresh);
+  ASSERT_TRUE(b.ok()) << b.status().ToString();
+  EXPECT_TRUE(fresh.cache_hit);
+  EXPECT_EQ(Tuples(*b, (*engine)->db().store()),
+            (std::set<std::string>{"(3)", "(4)"}));
 }
 
 TEST(EngineStaleGuard, RuntimeDriftRecostsCachedPlanInPlace) {

@@ -203,6 +203,7 @@ TEST(FixpointPassTest, CustomSequenceRunsChildrenToFixpoint) {
   cleanups.push_back(MakeAnonymousFactorPass());
   cleanups.push_back(MakeSeedFactorPass());
   cleanups.push_back(MakeDuplicateRulePass());
+  cleanups.push_back(MakeQueryCopyPass());
   cleanups.push_back(MakeUnreachablePass());
   cleanups.push_back(MakeUniformEquivalencePass(OptimizeOptions()));
   PassSequence fix;
